@@ -1,8 +1,10 @@
 // google-benchmark micro-benchmarks for the substrate kernels: Dijkstra,
-// BFS, R*-tree operations, score computations, and pruning predicates.
+// BFS, R*-tree operations, score computations, pruning predicates, and the
+// refinement's pivot-bound group loop.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
@@ -14,6 +16,7 @@
 
 #include "bench/bench_util.h"
 #include "core/pruning.h"
+#include "core/refine_frontier.h"
 #include "core/refinement.h"
 #include "core/scores.h"
 #include "core/social_scratch.h"
@@ -475,6 +478,72 @@ void BM_Corollary2MemoOn(benchmark::State& state) {
   RunCorollary2(state, /*memo=*/true);
 }
 BENCHMARK(BM_Corollary2MemoOn)->Arg(8)->Arg(32)->Arg(128);
+
+// Lemma 5's pivot lower bound of dist_RN(user, poi), the refinement's
+// hottest scalar kernel: one max over |a - b| per road pivot.
+void BM_LbUserPoiDist(benchmark::State& state) {
+  Rng rng(19);
+  const int h = static_cast<int>(state.range(0));
+  std::vector<double> user_rp(h);
+  PoiAug aug;
+  aug.pivot_dist.resize(h);
+  for (int k = 0; k < h; ++k) {
+    user_rp[k] = rng.UniformDouble(0, 100);
+    aug.pivot_dist[k] = rng.UniformDouble(0, 100);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(LbUserPoiDist(user_rp, aug));
+  }
+}
+BENCHMARK(BM_LbUserPoiDist)->Arg(5)->Arg(10)->Arg(20);
+
+// One visited center's group loop as refinement runs it: each member's
+// pivot bound comes from the per-visit memo (one LbUserPoiDist per user per
+// center, not per group member), and a group survives when the max of its
+// members' bounds stays below the incumbent. Groups of size τ over 528
+// candidates, 3,600 groups and 10 pivots (the refine-tau8 panel's means).
+void BM_RefineCenter(benchmark::State& state) {
+  Rng rng(23);
+  const int tau = static_cast<int>(state.range(0));
+  constexpr int kUsers = 528;
+  constexpr int kGroups = 3600;
+  constexpr int kPivots = 10;
+  std::vector<std::vector<double>> user_rp(kUsers,
+                                           std::vector<double>(kPivots));
+  for (auto& rp : user_rp) {
+    for (double& d : rp) d = rng.UniformDouble(0, 100);
+  }
+  PoiAug center;
+  center.pivot_dist.resize(kPivots);
+  for (double& d : center.pivot_dist) d = rng.UniformDouble(0, 100);
+  std::vector<std::vector<UserId>> groups(kGroups);
+  for (auto& g : groups) {
+    for (int i = 0; i < tau; ++i) {
+      g.push_back(static_cast<UserId>(rng.NextBounded(kUsers)));
+    }
+  }
+  const double incumbent = 60.0;
+  VisitMemo memo;
+  for (auto _ : state) {
+    memo.Begin(kUsers);
+    int survivors = 0;
+    for (const auto& group : groups) {
+      double pair_lb = 0.0;
+      for (UserId u : group) {
+        if (memo.lb_stamp[u] != memo.generation) {
+          memo.lb_stamp[u] = memo.generation;
+          memo.lb[u] = LbUserPoiDist(user_rp[u], center);
+        }
+        pair_lb = std::max(pair_lb, memo.lb[u]);
+        if (pair_lb >= incumbent) break;
+      }
+      survivors += pair_lb < incumbent ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(survivors);
+  }
+  state.SetItemsProcessed(state.iterations() * kGroups);
+}
+BENCHMARK(BM_RefineCenter)->Arg(2)->Arg(5)->Arg(8);
 
 void BM_PruningRegionVectorTest(benchmark::State& state) {
   Rng rng(17);

@@ -32,7 +32,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
-TSAN_TESTS='gpssn_common_task_scheduler_test|gpssn_core_parallel_refinement_test|gpssn_core_concurrency_test|gpssn_core_executor_test|gpssn_core_scheduler_stress_test|gpssn_ssn_serialize_fuzz_test|gpssn_roadnet_distance_cache_test|gpssn_roadnet_ch_parallel_build_test|gpssn_serving_transport_test|gpssn_serving_serving_stress_test'
+TSAN_TESTS='gpssn_common_task_scheduler_test|gpssn_core_parallel_refinement_test|gpssn_core_refine_frontier_test|gpssn_core_concurrency_test|gpssn_core_executor_test|gpssn_core_scheduler_stress_test|gpssn_ssn_serialize_fuzz_test|gpssn_roadnet_distance_cache_test|gpssn_roadnet_ch_parallel_build_test|gpssn_serving_transport_test|gpssn_serving_serving_stress_test'
 MODE="${1:-all}"
 case "$MODE" in
   all|--tier1-only|--tsan-only|--ubsan-only|--lint-only|--audit-only|--tsa-only|--analyzer-only|--large-only) ;;
@@ -55,6 +55,7 @@ run_tsan() {
   # Only the TSAN-relevant test binaries are built, keeping the check fast.
   cmake --build build-tsan -j "$JOBS" --target \
     gpssn_common_task_scheduler_test gpssn_core_parallel_refinement_test \
+    gpssn_core_refine_frontier_test \
     gpssn_core_concurrency_test gpssn_core_executor_test \
     gpssn_core_scheduler_stress_test \
     gpssn_ssn_serialize_fuzz_test gpssn_roadnet_distance_cache_test \

@@ -7,6 +7,8 @@
 
 #include <chrono>
 
+#include "common/macros.h"
+
 namespace gpssn {
 
 /// Monotonic stopwatch. Started on construction; ElapsedSeconds() may be
@@ -26,6 +28,19 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
+};
+
+/// Accrues the elapsed wall time of its scope into *out on destruction;
+/// attributes phase time across every exit path of a function.
+class ScopedPhaseTimer {
+ public:
+  explicit ScopedPhaseTimer(double* out) : out_(out) {}
+  ~ScopedPhaseTimer() { *out_ += timer_.ElapsedSeconds(); }
+  GPSSN_DISALLOW_COPY_AND_MOVE(ScopedPhaseTimer);
+
+ private:
+  WallTimer timer_;
+  double* out_;
 };
 
 }  // namespace gpssn

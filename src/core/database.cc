@@ -146,9 +146,8 @@ Result<PoiId> GpssnDatabase::AddPoi(const EdgePosition& position,
   // delta buckets) and bump its generation so every cached engine —
   // processor-plugged or batch-lane — is recreated before its next use.
   if (backend_ != nullptr) backend_->NotifyPoisMutated();
-  // The processor caches a POI locator; rebuild it over the grown set.
-  processor_ =
-      std::make_unique<GpssnProcessor>(poi_index_.get(), social_index_.get());
+  // Processors (this database's and any batch executor's) notice the grown
+  // POI count themselves and rebuild their built-in engines.
   // Cached (user, poi) distances to OTHER POIs stay valid (the road graph
   // is unchanged — the new POI only lands on an existing edge), so a
   // wholesale Clear() would throw away every hit the batch workers have

@@ -6,13 +6,13 @@
 #include <queue>
 #include <thread>
 #include <tuple>
-#include <unordered_map>
 
 #include "common/macros.h"
 #include "common/task_scheduler.h"
 #include "common/timer.h"
 #include "core/audit.h"
 #include "core/pruning.h"
+#include "core/refine_frontier.h"
 #include "core/refinement.h"
 #include "core/scores.h"
 #include "roadnet/distance_cache.h"
@@ -25,7 +25,8 @@ namespace gpssn {
 // mirrors RefineScratch's stamped layout but is lane-private: during the
 // parallel region the shared scratch is read-only (only rows computed
 // BEFORE the fan-out — the issuer's — live there), so lanes never race on
-// it. Reused across queries; declared in query.h.
+// it. Every lane row spans the full target list, which is complete once
+// the fan-out starts. Reused across queries; declared in query.h.
 struct IntraLane {
   const DistanceBackend* source = nullptr;  // Backend `engine` came from.
   uint64_t source_generation = 0;  // Backend POI generation at creation.
@@ -34,7 +35,7 @@ struct IntraLane {
   std::vector<uint32_t> user_stamp;
   std::vector<int32_t> user_row;
   std::vector<double> rows;
-  std::unordered_map<uint64_t, bool> match_memo;  // (user, center) -> ok.
+  VisitMemo visit;  // Per claimed center: user pivot bounds and matches.
 };
 
 namespace {
@@ -50,31 +51,6 @@ struct HeapGreater {
 using RoadHeap =
     std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapGreater>;
 
-// Cached per-center refinement data.
-struct CenterInfo {
-  std::vector<PoiId> ball;                 // R = B(o_i, r), sorted.
-  std::vector<std::pair<PoiId, double>> ball_dists;  // From the center.
-  std::vector<KeywordId> union_keywords;   // ∪_{o∈R} o.K.
-  bool issuer_matches = false;
-  // Bitset form of union_keywords, built only when the SoA social scratch
-  // is live; MaskedMatchScore over it is bit-identical to MatchScore.
-  DynamicBitset keyword_mask;
-  bool has_mask = false;
-};
-
-// Accrues elapsed wall time into *out on destruction; attributes phase
-// time across the multiple exit paths of ExecuteImpl.
-class ScopedPhaseTimer {
- public:
-  explicit ScopedPhaseTimer(double* out) : out_(out) {}
-  ~ScopedPhaseTimer() { *out_ += timer_.ElapsedSeconds(); }
-  GPSSN_DISALLOW_COPY_AND_MOVE(ScopedPhaseTimer);
-
- private:
-  WallTimer timer_;
-  double* out_;
-};
-
 }  // namespace
 
 GpssnProcessor::GpssnProcessor(const PoiIndex* poi_index,
@@ -83,9 +59,11 @@ GpssnProcessor::GpssnProcessor(const PoiIndex* poi_index,
       social_index_(social_index),
       bfs_(&poi_index->ssn().social()),
       default_backend_(MakeDijkstraBackend(&poi_index->ssn().road(),
-                                           &poi_index->ssn().pois())) {
+                                           &poi_index->ssn().pois())),
+      scratch_(std::make_unique<RefineScratch>()) {
   GPSSN_CHECK(poi_index != nullptr && social_index != nullptr);
   GPSSN_CHECK(&poi_index->ssn() == &social_index->ssn());
+  known_pois_ = poi_index->ssn().num_pois();
   default_engine_ = default_backend_->CreateEngine();
 #ifdef GPSSN_AUDIT
   // Audit builds: refuse to run queries over structurally corrupt indexes,
@@ -109,7 +87,24 @@ GpssnProcessor::GpssnProcessor(const PoiIndex* poi_index,
 
 GpssnProcessor::~GpssnProcessor() = default;
 
+void GpssnProcessor::SyncPoiCount() {
+  const int num_pois = poi_index_->ssn().num_pois();
+  if (num_pois == known_pois_) return;
+  // POIs were appended (GpssnDatabase::AddPoi): the built-in engine's
+  // locator, and the lane engines created from the built-in backend, were
+  // built over the old set. Bumping the backend generation makes the
+  // lanes recreate theirs.
+  known_pois_ = num_pois;
+  default_backend_->NotifyPoisMutated();
+  default_engine_ = default_backend_->CreateEngine();
+#ifdef GPSSN_AUDIT
+  default_auditor_ =
+      std::make_unique<PruningAuditor>(poi_index_, social_index_);
+#endif
+}
+
 DistanceEngine* GpssnProcessor::EngineFor(const QueryOptions& options) {
+  SyncPoiCount();
   if (options.distance_backend == nullptr) return default_engine_.get();
   const uint64_t generation = options.distance_backend->poi_generation();
   if (plugged_source_ != options.distance_backend ||
@@ -119,27 +114,6 @@ DistanceEngine* GpssnProcessor::EngineFor(const QueryOptions& options) {
     plugged_generation_ = generation;
   }
   return plugged_engine_.get();
-}
-
-void GpssnProcessor::RefineScratch::BeginQuery(size_t num_users,
-                                               size_t num_pois) {
-  if (poi_stamp.size() < num_pois) {
-    poi_stamp.resize(num_pois, 0);
-    poi_slot.resize(num_pois, 0);
-  }
-  if (user_stamp.size() < num_users) {
-    user_stamp.resize(num_users, 0);
-    user_row.resize(num_users, 0);
-  }
-  ++generation;
-  if (generation == 0) {  // Stamp wrap-around: hard reset.
-    std::fill(poi_stamp.begin(), poi_stamp.end(), 0);
-    std::fill(user_stamp.begin(), user_stamp.end(), 0);
-    generation = 1;
-  }
-  needed.clear();
-  needed_positions.clear();
-  rows.clear();
 }
 
 Result<GpssnAnswer> GpssnProcessor::Execute(const GpssnQuery& query,
@@ -284,16 +258,11 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
   // Cooperative interruption (deadline / external cancel). Polled at every
   // loop boundary below; `aborted` lets the nested traversal lambdas
   // unwind without partial-answer leakage. The longest unpolled stretch is
-  // one bounded Dijkstra inside get_user_dists, which bounds the latency
+  // one bounded search inside CenterRefiner::Row, which bounds the latency
   // overshoot past a deadline.
   *interrupted = false;
   bool aborted = false;
-  auto interrupted_now = [&options]() {
-    return (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed)) ||  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
-           options.deadline.Expired();
-  };
-  if (interrupted_now()) {
+  if (QueryInterrupted(options)) {
     *interrupted = true;
     return {};
   }
@@ -352,7 +321,7 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
   auto process_ir_round = [&]() {
     RoadHeap next;
     while (!heap.empty()) {
-      if (interrupted_now()) {
+      if (QueryInterrupted(options)) {
         aborted = true;
         return;
       }
@@ -429,7 +398,7 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
   }
   for (int level = social_index_->height() - 1; level >= 1 && !aborted;
        --level) {
-    if (interrupted_now()) {
+    if (QueryInterrupted(options)) {
       aborted = true;
       break;
     }
@@ -472,7 +441,7 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
     if (aborted) break;
     const SocialIndexNode& leaf = social_index_->node(id);
     for (UserId u : leaf.users) {
-      if ((++poll_stride & 255u) == 0 && interrupted_now()) {
+      if ((++poll_stride & 255u) == 0 && QueryInterrupted(options)) {
         aborted = true;
         break;
       }
@@ -598,10 +567,6 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
 
   // Up to top_k answers, kept sorted by ascending objective.
   std::vector<GpssnAnswer> best;
-  auto bound = [&]() {
-    return static_cast<int>(best.size()) < top_k ? kInfDistance
-                                                 : best.back().max_dist;
-  };
   if (groups.empty() || r_cand.empty()) {
     stats->io.logical_accesses += pool.stats().logical_accesses;
     stats->io.page_misses += pool.stats().page_misses;
@@ -609,175 +574,29 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
     return best;
   }
 
-  // Candidate centers, initially ordered by the issuer's pivot lower bound
-  // (re-ordered by EXACT issuer distances below, once balls materialize).
-  std::vector<std::pair<double, PoiId>> centers;
-  centers.reserve(r_cand.size());
-  for (PoiId id : r_cand) {
-    centers.emplace_back(LbDistToPoi(ctx, poi_index_->poi_aug(id)), id);
-  }
-  std::sort(centers.begin(), centers.end());
+  // Best-first lazy refinement (core/refine_frontier.h): candidate centers
+  // enter the frontier under the issuer's pivot lower bound. A center's
+  // ball, its new distance targets and its exact issuer-side key
+  // max_{o∈ball} dist(u_q, o) (from one δ-bounded search from the issuer,
+  // resumed as targets are appended) materialize only once the loop can
+  // still visit it. The objective of any pair at center c is at least that
+  // key, since u_q ∈ S; centers beyond δ are dropped outright (covered by
+  // the δ a-posteriori check / fallback).
+  CenterRefiner::Inputs refine_in;
+  refine_in.query = &query;
+  refine_in.ctx = &ctx;
+  refine_in.poi_index = poi_index_;
+  refine_in.social_index = social_index_;
+  refine_in.options = &options;
+  refine_in.engine = &dist_engine;
+  refine_in.pool = &pool;
+  refine_in.stats = stats;
+  refine_in.social_scratch = social_scratch;
+  refine_in.auditor = auditor;
+  CenterRefiner refiner(scratch_.get(), refine_in, delta);
+  refiner.AddCandidates(r_cand);
+  const RefineScratch& scr = *scratch_;
 
-  // Per-user exact distances to ball-member POIs, computed lazily with one
-  // bounded search per user (bound = best objective at compute time; a
-  // kInfDistance row entry therefore proves the pair cannot beat the
-  // best). Backed by processor-owned flat stamped scratch (RefineScratch)
-  // instead of per-query hash maps, and optionally by the shared
-  // cross-query distance cache.
-  scratch_.BeginQuery(static_cast<size_t>(ssn.num_users()),
-                      static_cast<size_t>(ssn.num_pois()));
-  RefineScratch& scr = scratch_;
-  std::unordered_map<PoiId, CenterInfo> center_cache;
-  // (user, center) match memo: 1 = matches, 0 = fails, absent = unknown.
-  std::unordered_map<uint64_t, bool> match_memo;
-
-  // Materialize every candidate center's ball up front (loop further down)
-  // so the needed-POI slot table is complete before the first per-user
-  // distance row is computed: a row covers every needed POI, and an
-  // infinite entry is a proof, not a gap.
-  auto get_center = [&](PoiId c) -> const CenterInfo& {
-    auto it = center_cache.find(c);
-    if (it != center_cache.end()) return it->second;
-    const ScopedPhaseTimer ball_phase(&stats->ball_seconds);
-    CenterInfo info;
-    ++stats->ball_queries;
-    if (dist_engine.BallUsesRangeEngine(query.radius)) {
-      ++stats->ball_range_engine_queries;
-    }
-    info.ball_dists =
-        dist_engine.BallWithDistances(ssn.poi(c).position, query.radius);
-    for (const auto& [id, dist] : info.ball_dists) {
-      info.ball.push_back(id);
-      if (scr.poi_stamp[id] != scr.generation) {
-        scr.poi_stamp[id] = scr.generation;
-        scr.poi_slot[id] = static_cast<int32_t>(scr.needed.size());
-        scr.needed.push_back(id);
-        scr.needed_positions.push_back(ssn.poi(id).position);
-      }
-      pool.Access(poi_index_->poi_page(id));
-    }
-    std::sort(info.ball.begin(), info.ball.end());
-    info.union_keywords = UnionKeywords(ssn, info.ball);
-    info.issuer_matches =
-        MatchScore(ctx.w_q, info.union_keywords) >= query.theta;
-    if (social_scratch != nullptr) {
-      social_scratch->BuildKeywordMask(info.union_keywords,
-                                       &info.keyword_mask);
-      info.has_mask = true;
-    }
-    return center_cache.emplace(c, std::move(info)).first->second;
-  };
-
-  // Registers the needed-POI targets with the engine exactly once, after
-  // every candidate ball has materialized, and pre-sizes the row table so
-  // row pointers stay valid for the rest of the query (at most one row per
-  // candidate user plus the issuer).
-  bool targets_set = false;
-  auto ensure_targets = [&]() {
-    if (targets_set) return;
-    dist_engine.SetTargets(scr.needed_positions);
-    scr.rows.reserve((user_cands.size() + 1) * scr.needed.size());
-    targets_set = true;
-  };
-
-  // Row of exact distances indexed by scr.poi_slot[]; kInfDistance marks
-  // "beyond the bound the row was computed with".
-  auto get_user_dists = [&](UserId u, double bound) -> const double* {
-    const size_t width = scr.needed.size();
-    if (scr.user_stamp[u] == scr.generation) {
-      return scr.rows.data() + static_cast<size_t>(scr.user_row[u]) * width;
-    }
-    ensure_targets();
-    const int32_t row_index =
-        width == 0 ? 0 : static_cast<int32_t>(scr.rows.size() / width);
-    scr.rows.resize(scr.rows.size() + width);
-    double* row = scr.rows.data() + static_cast<size_t>(row_index) * width;
-    bool have_row = false;
-    if (options.distance_cache != nullptr && width > 0) {
-      bool all_hit = true;
-      for (size_t i = 0; i < width; ++i) {
-        if (!options.distance_cache->Lookup(u, scr.needed[i], bound,
-                                            &row[i])) {
-          all_hit = false;
-          break;
-        }
-      }
-      if (all_hit) {
-        ++stats->dist_cache_row_hits;
-        have_row = true;
-      } else {
-        ++stats->dist_cache_row_misses;
-      }
-    }
-    if (!have_row) {
-      const ScopedPhaseTimer exact_phase(&stats->exact_dist_seconds);
-      dist_engine.SourceToTargets(ssn.user_home(u), bound, row);
-      ++stats->exact_distance_evals;
-      if (options.distance_cache != nullptr) {
-        for (size_t i = 0; i < width; ++i) {
-          options.distance_cache->Insert(u, scr.needed[i], bound, row[i]);
-        }
-      }
-    }
-    // Charge the traversal of the user's neighbourhood (adjacency pages).
-    pool.Access(social_index_->user_page(u));
-    scr.user_stamp[u] = scr.generation;
-    scr.user_row[u] = row_index;
-    return row;
-  };
-
-  for (const auto& [center_lb, c] : centers) {
-    if (interrupted_now()) {
-      *interrupted = true;
-      return {};
-    }
-    get_center(c);
-  }
-
-  // One exact Dijkstra from the issuer (bounded by δ) upgrades the center
-  // ordering from pivot lower bounds to the exact issuer-side objective
-  // contribution max_{o∈ball} dist(u_q, o): the objective of any pair at
-  // center c is at least that, since u_q ∈ S. Centers beyond the bound are
-  // dropped outright (covered by the δ a-posteriori check / fallback).
-  {
-    const double* issuer_dists = get_user_dists(query.issuer, delta);
-    std::vector<std::pair<double, PoiId>> exact_centers;
-    exact_centers.reserve(centers.size());
-    for (const auto& [center_lb, c] : centers) {
-      const CenterInfo& info = get_center(c);
-      double worst = 0.0;
-      bool in_range = !info.ball.empty();
-      for (PoiId o : info.ball) {
-        const double d = issuer_dists[scr.poi_slot[o]];
-        if (d >= kInfDistance) {
-          in_range = false;  // Beyond δ (or unreachable): cannot beat it.
-          break;
-        }
-        worst = std::max(worst, d);
-      }
-      if (in_range) exact_centers.emplace_back(worst, c);
-    }
-    std::sort(exact_centers.begin(), exact_centers.end());
-    centers = std::move(exact_centers);
-  }
-
-  // Matching-score predicate of one member against a ball's union
-  // keywords. The SoA masked row sum adds the same interest weights in
-  // the same (keyword-ascending) order as the scalar MatchScore, so the
-  // two paths are bit-identical.
-  auto compute_match = [&](UserId u, const CenterInfo& info) {
-    if (info.has_mask) {
-      const int idx = social_scratch->IndexOf(u);
-      if (idx >= 0) {
-        return social_scratch->MatchRow(idx, info.keyword_mask) >=
-               query.theta;
-      }
-    }
-    return MatchScore(social.Interests(u), info.union_keywords) >=
-           query.theta;
-  };
-
-  int64_t pair_budget = options.max_refine_pairs;
   // Lane ceiling of the intra-query parallel refinement: the claiming
   // caller plus at most one stolen lane per scheduler worker (never more
   // lanes than centers). How many lanes actually run depends on how many
@@ -785,7 +604,7 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
   // scheduler leaves lane 0 alone, which IS the serial loop plus one
   // publish/retire registry operation. 1 lane = the seed-exact serial path.
   int max_lanes = 1;
-  if (options.scheduler != nullptr && !centers.empty()) {
+  if (options.scheduler != nullptr) {
     max_lanes = options.scheduler->num_threads() + 1;
     if (options.intra_query_workers > 0) {
       max_lanes = std::min(max_lanes, options.intra_query_workers);
@@ -797,101 +616,29 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
       // this (tests force the morsel path to keep its races covered).
       max_lanes = 1;
     }
-    max_lanes =
-        std::min(max_lanes, static_cast<int>(centers.size()));
-    max_lanes = std::max(max_lanes, 1);
+    max_lanes = std::min(max_lanes, static_cast<int>(r_cand.size()));
+  }
+  // Lanes claim centers off one sorted vector, so they need every center
+  // materialized up front.
+  std::vector<std::pair<double, PoiId>> centers;
+  if (max_lanes > 1) {
+    refiner.frontier().MaterializeAll();
+    if (refiner.interrupted()) {
+      *interrupted = true;
+      return {};
+    }
+    centers = refiner.frontier().Remaining();
+    max_lanes = std::max(
+        1, std::min(max_lanes, static_cast<int>(centers.size())));
   }
 
   if (max_lanes <= 1) {
-    poll_stride = 0;
-    for (const auto& [center_lb, c] : centers) {
-      if (interrupted_now()) {
-        *interrupted = true;
-        return {};
-      }
-      if (center_lb >= bound()) break;
-      const CenterInfo& info = get_center(c);
-      if (info.ball.empty()) continue;
-      if (!info.issuer_matches) continue;
-      const PoiAug& center_aug = poi_index_->poi_aug(c);
-
-      for (const auto& group : groups) {
-        if ((++poll_stride & 63u) == 0 && interrupted_now()) {
-          *interrupted = true;
-          return {};
-        }
-        // Pivot lower bound of the pair objective (Lemma 5).
-        double pair_lb = center_lb;
-        for (UserId u : group) {
-          const double user_lb = LbUserPoiDist(
-              social_index_->user_road_pivot_dists(u), center_aug);
-          if (auditor != nullptr) {
-            auditor->OnPairDistanceBound(ctx, u, c, user_lb);
-          }
-          pair_lb = std::max(pair_lb, user_lb);
-        }
-        if (pair_lb >= bound()) continue;
-
-        // Matching-score predicate for every member (memoized).
-        bool all_match = true;
-        for (UserId u : group) {
-          const uint64_t key =
-              (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(c);
-          auto mit = match_memo.find(key);
-          bool ok;
-          if (mit != match_memo.end()) {
-            ok = mit->second;
-          } else {
-            ok = compute_match(u, info);
-            match_memo.emplace(key, ok);
-          }
-          if (!ok) {
-            all_match = false;
-            break;
-          }
-        }
-        if (!all_match) continue;
-
-        // Exact objective: maxdist_RN(S, B(c, r)). The budget caps only
-        // these expensive evaluations; lower-bound skips above are O(h)
-        // and free.
-        if (--pair_budget < 0) {
-          stats->truncated = true;
-          break;
-        }
-        ++stats->pairs_examined;
-        double obj = 0.0;
-        bool feasible = true;
-        for (UserId u : group) {
-          const double* dists = get_user_dists(u, bound());
-          for (PoiId o : info.ball) {
-            const double d = dists[scr.poi_slot[o]];
-            if (d >= kInfDistance) {
-              feasible = false;  // Distance beyond the bound: cannot win.
-              break;
-            }
-            obj = std::max(obj, d);
-          }
-          if (!feasible || obj >= bound()) {
-            feasible = false;
-            break;
-          }
-        }
-        if (!feasible) continue;
-        GpssnAnswer answer;
-        answer.found = true;
-        answer.users = group;
-        answer.center = c;
-        answer.pois = info.ball;
-        answer.max_dist = obj;
-        auto it = std::upper_bound(
-            best.begin(), best.end(), obj,
-            [](double v, const GpssnAnswer& a) { return v < a.max_dist; });
-        best.insert(it, std::move(answer));
-        if (static_cast<int>(best.size()) > top_k) best.pop_back();
-      }
-      if (pair_budget < 0) break;
+    std::vector<CenterRefiner::Hit> hits;
+    if (!refiner.RunSerial(groups, top_k, kInfDistance, &hits)) {
+      *interrupted = true;
+      return {};
     }
+    for (CenterRefiner::Hit& hit : hits) best.push_back(std::move(hit.answer));
   } else {
     // ------------------------------------------------- Parallel refinement
     // Deterministic parallel-for over the sorted centers. Lanes claim
@@ -935,7 +682,7 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
     // lane 0 reuses the main pool (it is the only thread touching it).
     std::vector<std::unique_ptr<BufferPool>> lane_pools(max_lanes);
     std::vector<uint8_t> lane_targets_ready(max_lanes, 0);
-    lane_targets_ready[0] = targets_set ? 1 : 0;
+    lane_targets_ready[0] = 1;  // Registered while materializing.
     for (int lane = 0; lane < max_lanes; ++lane) {
       IntraLane& ln = *intra_lanes_[lane];
       if (lane > 0) {
@@ -960,14 +707,13 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
         ln.generation = 1;
       }
       ln.rows.clear();
-      ln.match_memo.clear();
     }
 
     std::vector<LaneData> lanes(max_lanes);
     std::atomic<size_t> cursor{0};
     std::atomic<bool> par_stop{false};
     std::atomic<bool> par_interrupted{false};
-    std::atomic<int64_t> par_budget{pair_budget};
+    std::atomic<int64_t> par_budget{options.max_refine_pairs};
     std::atomic<double> shared_bound{kInfDistance};
     // Hooks on the raw auditor are not thread-safe; every lane notifies
     // through this serializing adapter instead (core/audit.h).
@@ -980,17 +726,17 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
       }
     };
 
-    // Lane-private row of exact distances, same layout and bound-tagging
-    // as get_user_dists. The shared scratch is consulted read-only (only
-    // pre-fan-out rows — the issuer's — are stamped there); rows computed
-    // under an earlier, looser bound stay sound because bounds only
-    // decrease (a kInfDistance entry proves d > bound-at-compute >= any
-    // later bound).
+    // Lane-private row of exact distances over the full target list, with
+    // CenterRefiner::Row's bound-tagging. The shared scratch is consulted
+    // read-only (only pre-fan-out rows — the issuer's — are stamped
+    // there); rows computed under an earlier, looser bound stay sound
+    // because bounds only decrease (a kInfDistance entry proves
+    // d > bound-at-compute >= any later bound).
     auto lane_user_dists = [&](int lane, LaneData& ld, UserId u,
                                double bnd) -> const double* {
       const size_t width = scr.needed.size();
       if (scr.user_stamp[u] == scr.generation) {
-        return scr.rows.data() + static_cast<size_t>(scr.user_row[u]) * width;
+        return scr.rows.data() + scr.user_offset[u];
       }
       IntraLane& ln = *intra_lanes_[lane];
       if (ln.user_stamp[u] == ln.generation) {
@@ -1056,7 +802,7 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
         if (lane != 0 && options.scheduler->HasQueuedTasks()) break;
         const size_t ci = cursor.fetch_add(1, std::memory_order_relaxed);  // gpssn-lint: relaxed(claim counter; each index taken once)
         if (ci >= centers.size()) break;
-        if (interrupted_now()) {
+        if (QueryInterrupted(options)) {
           par_interrupted.store(true, std::memory_order_relaxed);  // gpssn-lint: relaxed(lane stop flag; Retire is the barrier)
           par_stop.store(true, std::memory_order_relaxed);  // gpssn-lint: relaxed(lane stop flag; Retire is the barrier)
           break;
@@ -1066,45 +812,48 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
         // unclaimed center is strictly worse too: stop claiming.
         if (center_lb > lane_bound()) break;
         ++ld.claimed;
-        const CenterInfo& info = center_cache.find(c)->second;
-        if (info.ball.empty()) continue;
+        const CenterInfo& info = refiner.center(c);
         if (!info.issuer_matches) continue;
         const PoiAug& center_aug = poi_index_->poi_aug(c);
+        VisitMemo& memo = ln.visit;
+        memo.Begin(num_users);
 
         for (size_t gi = 0; gi < groups.size(); ++gi) {
           if ((++stride & 63u) == 0) {
             if (par_stop.load(std::memory_order_relaxed)) break;  // gpssn-lint: relaxed(lane stop flag; Retire is the barrier)
-            if (interrupted_now()) {
+            if (QueryInterrupted(options)) {
               par_interrupted.store(true, std::memory_order_relaxed);  // gpssn-lint: relaxed(lane stop flag; Retire is the barrier)
               par_stop.store(true, std::memory_order_relaxed);  // gpssn-lint: relaxed(lane stop flag; Retire is the barrier)
               break;
             }
           }
           const auto& group = groups[gi];
+          // Pivot bounds and matches come from the per-center memo: one
+          // evaluation per user per claimed center.
           double pair_lb = center_lb;
           for (UserId u : group) {
-            const double user_lb = LbUserPoiDist(
-                social_index_->user_road_pivot_dists(u), center_aug);
-            if (shared_auditor.enabled()) {
-              shared_auditor.OnPairDistanceBound(ctx, u, c, user_lb);
+            if (memo.lb_stamp[u] != memo.generation) {
+              memo.lb_stamp[u] = memo.generation;
+              memo.lb[u] = LbUserPoiDist(
+                  social_index_->user_road_pivot_dists(u), center_aug);
+              if (shared_auditor.enabled()) {
+                shared_auditor.OnPairDistanceBound(ctx, u, c, memo.lb[u]);
+              }
             }
-            pair_lb = std::max(pair_lb, user_lb);
+            pair_lb = std::max(pair_lb, memo.lb[u]);
           }
-          if (pair_lb > lane_bound()) continue;
+          // A pivot bound may exceed the exact distance by rounding; when
+          // another lane's bound ties this pair's exact objective, only the
+          // slack keeps the pair (it may win the key tie-break).
+          if (pair_lb - PivotSlack(pair_lb) > lane_bound()) continue;
 
           bool all_match = true;
           for (UserId u : group) {
-            const uint64_t key =
-                (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(c);
-            auto mit = ln.match_memo.find(key);
-            bool ok;
-            if (mit != ln.match_memo.end()) {
-              ok = mit->second;
-            } else {
-              ok = compute_match(u, info);
-              ln.match_memo.emplace(key, ok);
+            if (memo.match_stamp[u] != memo.generation) {
+              memo.match_stamp[u] = memo.generation;
+              memo.match[u] = refiner.Matches(u, info) ? 1 : 0;
             }
-            if (!ok) {
+            if (memo.match[u] == 0) {
               all_match = false;
               break;
             }
@@ -1257,17 +1006,13 @@ Result<ShardCandidates> GpssnProcessor::GatherCandidates(
     }
     return Status::DeadlineExceeded("query deadline exceeded");
   };
-  auto interrupted_now = [&options]() {
-    return (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed)) ||  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
-           options.deadline.Expired();
-  };
-  if (interrupted_now()) return interrupted_status();
+  if (QueryInterrupted(options)) return interrupted_status();
 
   const SocialNetwork& social = ssn.social();
   const PruningFlags& flags = options.pruning;
   BufferPool pool(options.buffer_pool_pages);
   QueryUserContext ctx(query, *social_index_);
+  SyncPoiCount();
   PruningAuditor* auditor =
       options.auditor != nullptr ? options.auditor : default_auditor_.get();
   WallTimer descent_timer;
@@ -1321,7 +1066,7 @@ Result<ShardCandidates> GpssnProcessor::GatherCandidates(
       }
     }
     if (!any_internal) break;
-    if (interrupted_now()) {
+    if (QueryInterrupted(options)) {
       aborted = true;
       break;
     }
@@ -1340,7 +1085,7 @@ Result<ShardCandidates> GpssnProcessor::GatherCandidates(
     if (aborted) break;
     const SocialIndexNode& leaf = social_index_->node(id);
     for (UserId u : leaf.users) {
-      if ((++poll_stride & 255u) == 0 && interrupted_now()) {
+      if ((++poll_stride & 255u) == 0 && QueryInterrupted(options)) {
         aborted = true;
         break;
       }
@@ -1390,7 +1135,7 @@ Result<ShardCandidates> GpssnProcessor::GatherCandidates(
     r_stack.push_back(id);
   }
   while (!r_stack.empty() && !aborted) {
-    if (interrupted_now()) {
+    if (QueryInterrupted(options)) {
       aborted = true;
       break;
     }
@@ -1443,7 +1188,7 @@ Result<ShardCandidates> GpssnProcessor::GatherCandidates(
 
 Result<ShardRefineResult> GpssnProcessor::RefineCandidates(
     const GpssnQuery& query, const QueryOptions& options,
-    const std::vector<PoiId>& centers_in,
+    const std::vector<PoiId>& centers,
     const std::vector<std::vector<UserId>>& groups, double incumbent,
     QueryStats* stats) {
   const SpatialSocialNetwork& ssn = poi_index_->ssn();
@@ -1463,257 +1208,48 @@ Result<ShardRefineResult> GpssnProcessor::RefineCandidates(
     }
     return Status::DeadlineExceeded("query deadline exceeded");
   };
-  auto interrupted_now = [&options]() {
-    return (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed)) ||  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
-           options.deadline.Expired();
-  };
-  if (interrupted_now()) return interrupted_status();
+  if (QueryInterrupted(options)) return interrupted_status();
 
-  const SocialNetwork& social = ssn.social();
   const ScopedPhaseTimer refine_phase(&out->refine_seconds);
-  BufferPool pool(options.buffer_pool_pages);
-  QueryUserContext ctx(query, *social_index_);
-  DistanceEngine& dist_engine = *EngineFor(options);
-  PruningAuditor* auditor =
-      options.auditor != nullptr ? options.auditor : default_auditor_.get();
-
   ShardRefineResult result;
-  GpssnAnswer& best = result.answer;  // found=false until one qualifies.
-  // Rejection threshold: NON-STRICT against the shard's own running best
-  // (within the shard, later discovery rank loses ties — exactly the
-  // serial loop's `>= bound()` rejects) but STRICT against the incumbent
-  // (an answer TYING the incumbent may still win the global discovery-rank
-  // comparison at the coordinator, so it must be reported, not dropped).
-  auto reject = [&](double v) {
-    return best.found ? v >= best.max_dist : v > incumbent;
-  };
-  // Distance-row bound: d == bound stays finite (the engines keep
-  // settled-at-bound vertices), so an obj tying `incumbent` is still
-  // representable; once a best exists only strictly-better survives.
-  auto bound = [&]() { return best.found ? best.max_dist : incumbent; };
-  if (groups.empty() || centers_in.empty()) {
+  if (groups.empty() || centers.empty()) {
     out->cpu_seconds = timer.ElapsedSeconds();
     return result;
   }
-
-  // The refinement below mirrors ExecuteImpl's serial loop exactly (same
-  // arithmetic, same center ordering, same first-encountered-minimum
-  // acceptance) restricted to this shard's centers. Per-pair objectives
-  // depend only on (group, center) — rows are bound-tagged and a
-  // kInfDistance entry proves the pair cannot beat the bound it was
-  // computed under — so evaluating a subset of the single-node candidate
-  // pairs yields bit-identical objective values.
-  scratch_.BeginQuery(static_cast<size_t>(ssn.num_users()),
-                      static_cast<size_t>(ssn.num_pois()));
-  RefineScratch& scr = scratch_;
-  std::unordered_map<PoiId, CenterInfo> center_cache;
-  std::unordered_map<uint64_t, bool> match_memo;
-
-  auto get_center = [&](PoiId c) -> const CenterInfo& {
-    auto it = center_cache.find(c);
-    if (it != center_cache.end()) return it->second;
-    const ScopedPhaseTimer ball_phase(&out->ball_seconds);
-    CenterInfo info;
-    ++out->ball_queries;
-    if (dist_engine.BallUsesRangeEngine(query.radius)) {
-      ++out->ball_range_engine_queries;
-    }
-    info.ball_dists =
-        dist_engine.BallWithDistances(ssn.poi(c).position, query.radius);
-    for (const auto& [id, dist] : info.ball_dists) {
-      info.ball.push_back(id);
-      if (scr.poi_stamp[id] != scr.generation) {
-        scr.poi_stamp[id] = scr.generation;
-        scr.poi_slot[id] = static_cast<int32_t>(scr.needed.size());
-        scr.needed.push_back(id);
-        scr.needed_positions.push_back(ssn.poi(id).position);
-      }
-      pool.Access(poi_index_->poi_page(id));
-    }
-    std::sort(info.ball.begin(), info.ball.end());
-    info.union_keywords = UnionKeywords(ssn, info.ball);
-    info.issuer_matches =
-        MatchScore(ctx.w_q, info.union_keywords) >= query.theta;
-    return center_cache.emplace(c, std::move(info)).first->second;
-  };
-
-  bool targets_set = false;
-  auto ensure_targets = [&]() {
-    if (targets_set) return;
-    dist_engine.SetTargets(scr.needed_positions);
-    scr.rows.reserve((static_cast<size_t>(ssn.num_users()) < 256
-                          ? static_cast<size_t>(ssn.num_users())
-                          : size_t{256}) *
-                     scr.needed.size());
-    targets_set = true;
-  };
-
-  auto get_user_dists = [&](UserId u, double bnd) -> const double* {
-    const size_t width = scr.needed.size();
-    if (scr.user_stamp[u] == scr.generation) {
-      return scr.rows.data() + static_cast<size_t>(scr.user_row[u]) * width;
-    }
-    ensure_targets();
-    const int32_t row_index =
-        width == 0 ? 0 : static_cast<int32_t>(scr.rows.size() / width);
-    scr.rows.resize(scr.rows.size() + width);
-    double* row = scr.rows.data() + static_cast<size_t>(row_index) * width;
-    bool have_row = false;
-    if (options.distance_cache != nullptr && width > 0) {
-      bool all_hit = true;
-      for (size_t i = 0; i < width; ++i) {
-        if (!options.distance_cache->Lookup(u, scr.needed[i], bnd, &row[i])) {
-          all_hit = false;
-          break;
-        }
-      }
-      if (all_hit) {
-        ++out->dist_cache_row_hits;
-        have_row = true;
-      } else {
-        ++out->dist_cache_row_misses;
-      }
-    }
-    if (!have_row) {
-      const ScopedPhaseTimer exact_phase(&out->exact_dist_seconds);
-      dist_engine.SourceToTargets(ssn.user_home(u), bnd, row);
-      ++out->exact_distance_evals;
-      if (options.distance_cache != nullptr) {
-        for (size_t i = 0; i < width; ++i) {
-          options.distance_cache->Insert(u, scr.needed[i], bnd, row[i]);
-        }
-      }
-    }
-    pool.Access(social_index_->user_page(u));
-    scr.user_stamp[u] = scr.generation;
-    scr.user_row[u] = row_index;
-    return row;
-  };
-
-  for (PoiId c : centers_in) {
-    if (interrupted_now()) {
-      out->cpu_seconds = timer.ElapsedSeconds();
-      return interrupted_status();
-    }
-    get_center(c);
-  }
-
-  // Exact issuer-side ordering, as in ExecuteImpl: one bounded search from
-  // the issuer upgrades center order to the exact objective contribution
-  // max_{o∈ball} dist(u_q, o); centers beyond the incumbent cannot beat it
-  // (u_q ∈ S) and are dropped.
-  std::vector<std::pair<double, PoiId>> centers;
+  BufferPool pool(options.buffer_pool_pages);
+  QueryUserContext ctx(query, *social_index_);
+  std::vector<CenterRefiner::Hit> hits;
   {
-    const double* issuer_dists = get_user_dists(query.issuer, incumbent);
-    centers.reserve(centers_in.size());
-    for (PoiId c : centers_in) {
-      const CenterInfo& info = get_center(c);
-      double worst = 0.0;
-      bool in_range = !info.ball.empty();
-      for (PoiId o : info.ball) {
-        const double d = issuer_dists[scr.poi_slot[o]];
-        if (d >= kInfDistance) {
-          in_range = false;
-          break;
-        }
-        worst = std::max(worst, d);
-      }
-      if (in_range) centers.emplace_back(worst, c);
-    }
-    std::sort(centers.begin(), centers.end());
-  }
-
-  auto compute_match = [&](UserId u, const CenterInfo& info) {
-    return MatchScore(social.Interests(u), info.union_keywords) >=
-           query.theta;
-  };
-
-  int64_t pair_budget = options.max_refine_pairs;
-  uint32_t poll_stride = 0;
-  for (const auto& [center_lb, c] : centers) {
-    if (interrupted_now()) {
+    // The refinement is Execute()'s serial loop exactly (same arithmetic,
+    // same best-first center order, same first-encountered-minimum
+    // acceptance) restricted to this shard's centers, with the issuer row
+    // and the initial rejection threshold taken from `incumbent`. Per-pair
+    // objectives depend only on (group, center) — rows are bound-tagged
+    // and a kInfDistance entry proves the pair cannot beat the bound it was
+    // computed under — so evaluating a subset of the single-node candidate
+    // pairs yields bit-identical objective values.
+    CenterRefiner::Inputs in;
+    in.query = &query;
+    in.ctx = &ctx;
+    in.poi_index = poi_index_;
+    in.social_index = social_index_;
+    in.options = &options;
+    in.engine = EngineFor(options);
+    in.pool = &pool;
+    in.stats = out;
+    in.auditor =
+        options.auditor != nullptr ? options.auditor : default_auditor_.get();
+    CenterRefiner refiner(scratch_.get(), in, incumbent);
+    refiner.AddCandidates(centers);
+    if (!refiner.RunSerial(groups, /*top_k=*/1, incumbent, &hits)) {
       out->cpu_seconds = timer.ElapsedSeconds();
       return interrupted_status();
     }
-    // Centers are sorted by (center_lb, id) and the threshold only
-    // decreases, so every unvisited center is rejected too.
-    if (reject(center_lb)) break;
-    const CenterInfo& info = get_center(c);
-    if (info.ball.empty()) continue;
-    if (!info.issuer_matches) continue;
-    const PoiAug& center_aug = poi_index_->poi_aug(c);
-
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      const auto& group = groups[gi];
-      if ((++poll_stride & 63u) == 0 && interrupted_now()) {
-        out->cpu_seconds = timer.ElapsedSeconds();
-        return interrupted_status();
-      }
-      double pair_lb = center_lb;
-      for (UserId u : group) {
-        const double user_lb = LbUserPoiDist(
-            social_index_->user_road_pivot_dists(u), center_aug);
-        if (auditor != nullptr) {
-          auditor->OnPairDistanceBound(ctx, u, c, user_lb);
-        }
-        pair_lb = std::max(pair_lb, user_lb);
-      }
-      if (reject(pair_lb)) continue;
-
-      bool all_match = true;
-      for (UserId u : group) {
-        const uint64_t key =
-            (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(c);
-        auto mit = match_memo.find(key);
-        bool ok;
-        if (mit != match_memo.end()) {
-          ok = mit->second;
-        } else {
-          ok = compute_match(u, info);
-          match_memo.emplace(key, ok);
-        }
-        if (!ok) {
-          all_match = false;
-          break;
-        }
-      }
-      if (!all_match) continue;
-
-      if (--pair_budget < 0) {
-        out->truncated = true;
-        break;
-      }
-      ++out->pairs_examined;
-      double obj = 0.0;
-      bool feasible = true;
-      for (UserId u : group) {
-        const double* dists = get_user_dists(u, bound());
-        for (PoiId o : info.ball) {
-          const double d = dists[scr.poi_slot[o]];
-          if (d >= kInfDistance) {
-            feasible = false;
-            break;
-          }
-          obj = std::max(obj, d);
-        }
-        if (!feasible || reject(obj)) {
-          feasible = false;
-          break;
-        }
-      }
-      if (!feasible) continue;
-      // First-encountered minimum within the shard (the rejects above make
-      // any survivor strictly better than the running best).
-      best.found = true;
-      best.users = group;
-      best.center = c;
-      best.pois = info.ball;
-      best.max_dist = obj;
-      result.center_worst = center_lb;
-      result.group_index = static_cast<int64_t>(gi);
-    }
-    if (pair_budget < 0) break;
+  }
+  if (!hits.empty()) {
+    result.answer = std::move(hits.front().answer);
+    result.center_worst = hits.front().center_key;
+    result.group_index = hits.front().group_index;
   }
 
   // users/pois/groups counters stay 0 here: the coordinator owns the

@@ -37,6 +37,9 @@ namespace gpssn {
 // (defined in query.cc): a private distance engine plus stamped row/memo
 // caches, reused across queries so lane setup is O(changed state).
 struct IntraLane;
+// Flat stamped refinement scratch (core/refine_frontier.h), reused across
+// queries.
+struct RefineScratch;
 
 /// A GP-SSN answer: the user group S, the ball center o_i, and the POI set
 /// R = B(o_i, r).
@@ -162,29 +165,11 @@ class GpssnProcessor {
   /// against the same backend reuse one set of arenas.
   DistanceEngine* EngineFor(const QueryOptions& options);
 
-  /// Flat stamped scratch for the refinement phase, reused across queries:
-  /// replaces the per-query unordered_map<UserId, unordered_map<PoiId,
-  /// double>> distance memos with generation-stamped slot/row arrays and
-  /// one flat row-major distance table, eliminating allocation churn in
-  /// the refinement loop.
-  struct RefineScratch {
-    uint32_t generation = 0;
-    // POI id -> slot in `needed` (valid when poi_stamp matches).
-    std::vector<uint32_t> poi_stamp;
-    std::vector<int32_t> poi_slot;
-    std::vector<PoiId> needed;                  // Slot -> POI id.
-    std::vector<EdgePosition> needed_positions; // Slot -> position.
-    // User id -> row index into `rows` (valid when user_stamp matches).
-    std::vector<uint32_t> user_stamp;
-    std::vector<int32_t> user_row;
-    // Row-major |rows| x |needed| distance table; kInfDistance = beyond
-    // the bound the row was computed under.
-    std::vector<double> rows;
-
-    /// Starts a query: bumps the generation (invalidating every slot/row
-    /// in O(1)) and clears the flat arrays, keeping their capacity.
-    void BeginQuery(size_t num_users, size_t num_pois);
-  };
+  /// Rebuilds the built-in engine (and, in GPSSN_AUDIT builds, the default
+  /// auditor) when POIs were appended since they were built, so a
+  /// processor — or a batch executor's worker — created before
+  /// GpssnDatabase::AddPoi answers over the grown POI set.
+  void SyncPoiCount();
 
   const PoiIndex* poi_index_;
   const SocialIndex* social_index_;
@@ -193,6 +178,7 @@ class GpssnProcessor {
   // (bit-exact with the seed query path).
   std::unique_ptr<DistanceBackend> default_backend_;
   std::unique_ptr<DistanceEngine> default_engine_;
+  int known_pois_ = 0;  // POI count the built-in engine was built over.
   // Engine created from the last non-null options.distance_backend, plus
   // the backend POI generation it was created under — the engine is
   // recreated when the backend reports a POI mutation, so cached arenas
@@ -200,7 +186,7 @@ class GpssnProcessor {
   const DistanceBackend* plugged_source_ = nullptr;
   uint64_t plugged_generation_ = 0;
   std::unique_ptr<DistanceEngine> plugged_engine_;
-  RefineScratch scratch_;
+  std::unique_ptr<RefineScratch> scratch_;
   // Per-query SoA social scratch (candidate interest matrix, adjacency
   // bitsets, pairwise-score memo); rebuilt only when
   // QueryOptions::vectorized_social_kernels is on and the candidate set

@@ -14,9 +14,10 @@ namespace {
 // ---------------------------------------------------------------- Dijkstra
 
 /// Reference engine: bounded Dijkstra + PoiLocator. SourceToTargets is one
-/// bounded run from the source followed by per-target label reads — the
-/// exact operation sequence the seed query path performed inline, so the
-/// default backend is bit-exact with it.
+/// bounded run from the source that stops once every target's edge
+/// endpoints are settled, followed by per-target label reads. Settled
+/// labels are final, so the values equal those of the seed query path's
+/// full bounded run bit for bit.
 class DijkstraDistanceEngine final : public DistanceEngine {
  public:
   DijkstraDistanceEngine(const RoadNetwork* graph,
@@ -44,21 +45,69 @@ class DijkstraDistanceEngine final : public DistanceEngine {
 
   size_t num_targets() const override { return targets_.size(); }
 
-  void SourceToTargets(const EdgePosition& source, double bound,
-                       double* out) override {
-    engine_.RunFromPosition(source, bound);
-    for (size_t i = 0; i < targets_.size(); ++i) {
-      double d = engine_.DistanceToPosition(targets_[i]);
+  using DistanceEngine::SourceToTargets;
+  void SourceToTargets(const EdgePosition& source, double bound, double* out,
+                       size_t first) override {
+    if (first >= targets_.size()) return;
+    CollectEndpoints(first);
+    engine_.RunWithTargets(Seeds(source), bound, endpoints_);
+    ReadRow(engine_, source, bound, out, first);
+  }
+
+  void ResumableSourceToTargets(const EdgePosition& source, double bound,
+                                double* out, size_t first) override {
+    if (first >= targets_.size()) return;
+    // A second arena, allocated on first use, keeps the pinned search
+    // alive while other sources run on engine_.
+    if (pinned_ == nullptr) pinned_ = std::make_unique<DijkstraEngine>(graph_);
+    CollectEndpoints(first);
+    const bool same = pinned_valid_ && pinned_source_.edge == source.edge &&
+                      pinned_source_.t == source.t && pinned_bound_ == bound;
+    if (same) {
+      pinned_->ResumeWithTargets(bound, endpoints_);
+    } else {
+      pinned_->RunWithTargets(Seeds(source), bound, endpoints_);
+      pinned_source_ = source;
+      pinned_bound_ = bound;
+      pinned_valid_ = true;
+    }
+    ReadRow(*pinned_, source, bound, out, first);
+  }
+
+ private:
+  std::vector<std::pair<VertexId, double>> Seeds(
+      const EdgePosition& source) const {
+    const VertexId u = graph_->edge_u(source.edge);
+    const VertexId v = graph_->edge_v(source.edge);
+    return {{u, graph_->OffsetTo(source, u)}, {v, graph_->OffsetTo(source, v)}};
+  }
+
+  void CollectEndpoints(size_t first) {
+    endpoints_.clear();
+    for (size_t i = first; i < targets_.size(); ++i) {
+      endpoints_.push_back(graph_->edge_u(targets_[i].edge));
+      endpoints_.push_back(graph_->edge_v(targets_[i].edge));
+    }
+  }
+
+  void ReadRow(const DijkstraEngine& run, const EdgePosition& source,
+               double bound, double* out, size_t first) const {
+    for (size_t i = first; i < targets_.size(); ++i) {
+      double d = run.DistanceToPosition(targets_[i]);
       d = std::min(d, SameEdgeDistance(*graph_, source, targets_[i]));
       out[i] = d <= bound ? d : kInfDistance;
     }
   }
 
- private:
   const RoadNetwork* graph_;
   DijkstraEngine engine_;
   PoiLocator locator_;
   std::vector<EdgePosition> targets_;
+  std::vector<VertexId> endpoints_;  // Edge endpoints of the targets read.
+  std::unique_ptr<DijkstraEngine> pinned_;  // The resumable search.
+  EdgePosition pinned_source_;
+  double pinned_bound_ = 0.0;
+  bool pinned_valid_ = false;
 };
 
 class DijkstraBackend final : public DistanceBackend {
@@ -139,11 +188,21 @@ class ChDistanceEngine final : public DistanceEngine {
   }
 
   void SetTargets(std::span<const EdgePosition> targets) override {
-    // Clear the previous target set's buckets.
-    for (VertexId v : bucketed_) buckets_[v].clear();
-    bucketed_.clear();
+    size_t keep = targets_.size();
+    if (keep > targets.size()) keep = 0;
+    for (size_t j = 0; j < keep; ++j) {
+      if (targets_[j].edge != targets[j].edge ||
+          targets_[j].t != targets[j].t) {
+        keep = 0;
+        break;
+      }
+    }
+    if (keep == 0) {  // Not an append: clear the previous buckets.
+      for (VertexId v : bucketed_) buckets_[v].clear();
+      bucketed_.clear();
+    }
     targets_.assign(targets.begin(), targets.end());
-    for (size_t j = 0; j < targets_.size(); ++j) {
+    for (size_t j = keep; j < targets_.size(); ++j) {
       const EdgePosition& t = targets_[j];
       const VertexId u = graph_->edge_u(t.edge);
       const VertexId v = graph_->edge_v(t.edge);
@@ -157,26 +216,40 @@ class ChDistanceEngine final : public DistanceEngine {
 
   size_t num_targets() const override { return targets_.size(); }
 
-  void SourceToTargets(const EdgePosition& source, double bound,
-                       double* out) override {
+  using DistanceEngine::SourceToTargets;
+  void SourceToTargets(const EdgePosition& source, double bound, double* out,
+                       size_t first) override {
+    if (first >= targets_.size()) return;
     // Same-edge shortcut: a path between positions on one edge need not
     // pass either endpoint.
-    for (size_t j = 0; j < targets_.size(); ++j) {
+    for (size_t j = first; j < targets_.size(); ++j) {
       out[j] = SameEdgeDistance(*graph_, source, targets_[j]);
     }
     const VertexId u = graph_->edge_u(source.edge);
     const VertexId v = graph_->edge_v(source.edge);
+    const auto lo = static_cast<int32_t>(first);
     // Forward labels above `bound` cannot open a candidate <= bound
     // (bucket distances are nonnegative), so the search prunes at it.
+    // Buckets hold entries in target order, so a row extension skips the
+    // prefix of each bucket it already covered.
     UpwardSearch(
         {{u, graph_->OffsetTo(source, u)}, {v, graph_->OffsetTo(source, v)}},
         bound, [&](VertexId w, double d) {
-          for (const auto& [j, td] : buckets_[w]) {
-            const double cand = d + td;
-            if (cand < out[j]) out[j] = cand;
+          const auto& bucket = buckets_[w];
+          auto it = bucket.begin();
+          if (lo > 0) {
+            it = std::lower_bound(
+                bucket.begin(), bucket.end(), lo,
+                [](const std::pair<int32_t, double>& e, int32_t j) {
+                  return e.first < j;
+                });
+          }
+          for (; it != bucket.end(); ++it) {
+            const double cand = d + it->second;
+            if (cand < out[it->first]) out[it->first] = cand;
           }
         });
-    for (size_t j = 0; j < targets_.size(); ++j) {
+    for (size_t j = first; j < targets_.size(); ++j) {
       if (out[j] > bound) out[j] = kInfDistance;
     }
   }

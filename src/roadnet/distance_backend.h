@@ -72,20 +72,39 @@ class DistanceEngine {
   }
 
   /// Registers the target positions for subsequent SourceToTargets calls.
-  /// The CH engine runs one backward upward search per target here,
-  /// bucketing (target, distance) entries at every reached vertex; the
-  /// Dijkstra engine just stores the list. Targets stay registered until
-  /// the next SetTargets call.
+  /// Registration is append-aware: when the registered list is a prefix
+  /// of `targets`, only the appended targets are processed (the CH engine
+  /// runs one backward upward search per NEW target, bucketing
+  /// (target, distance) entries at every reached vertex); any other list
+  /// replaces the registration. The Dijkstra engine just stores the list.
   virtual void SetTargets(std::span<const EdgePosition> targets) = 0;
 
   virtual size_t num_targets() const = 0;
 
-  /// Exact distances from `source` to every registered target, in one
-  /// forward search. out[i] receives dist_RN(source, targets[i]) when it
-  /// is <= bound, kInfDistance otherwise. `out` must have room for
-  /// num_targets() entries.
+  /// Exact distances from `source` to registered targets [first,
+  /// num_targets()), in one forward search. out[i] receives
+  /// dist_RN(source, targets[i]) when it is <= bound, kInfDistance
+  /// otherwise; entries below `first` are left untouched, so a caller can
+  /// extend a row computed before targets were appended. `out` must have
+  /// room for num_targets() entries.
   virtual void SourceToTargets(const EdgePosition& source, double bound,
-                               double* out) = 0;
+                               double* out, size_t first) = 0;
+
+  void SourceToTargets(const EdgePosition& source, double bound,
+                       double* out) {
+    SourceToTargets(source, bound, out, 0);
+  }
+
+  /// As SourceToTargets, for the one source whose row a caller extends
+  /// every time targets are appended (the query issuer's). An engine may
+  /// keep this search's state and resume it on the next call with the
+  /// same source and bound instead of starting over; the values are those
+  /// of a single search over all targets.
+  virtual void ResumableSourceToTargets(const EdgePosition& source,
+                                        double bound, double* out,
+                                        size_t first) {
+    SourceToTargets(source, bound, out, first);
+  }
 };
 
 /// Immutable, thread-safe engine factory bound to one road network and POI

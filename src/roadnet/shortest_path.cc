@@ -48,18 +48,29 @@ void DijkstraEngine::RunWithTargets(
     GPSSN_CHECK(v >= 0 && v < graph_->num_vertices());
     if (d <= bound) Relax(v, d);
   }
+  SettleTargets(bound, targets);
+}
+
+void DijkstraEngine::ResumeWithTargets(double bound,
+                                       const std::vector<VertexId>& targets) {
+  SettleTargets(bound, targets);
+}
+
+void DijkstraEngine::SettleTargets(double bound,
+                                   const std::vector<VertexId>& targets) {
   // Generation-stamped target marks: O(1) membership per settled vertex,
-  // and counting DISTINCT targets (duplicates in `targets` must not
-  // inflate the count past what settling can clear, or early termination
-  // would never fire).
+  // and counting DISTINCT unsettled targets (duplicates in `targets` must
+  // not inflate the count past what settling can clear, or early
+  // termination would never fire).
   size_t targets_left = 0;
   for (VertexId t : targets) {
     GPSSN_CHECK(t >= 0 && t < graph_->num_vertices());
-    if (target_stamp_[t] != generation_) {
+    if (settled_stamp_[t] != generation_ && target_stamp_[t] != generation_) {
       target_stamp_[t] = generation_;
       ++targets_left;
     }
   }
+  if (!targets.empty() && targets_left == 0) return;  // All settled before.
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), HeapGreater());
     const auto [d, v] = heap_.back();
@@ -68,14 +79,15 @@ void DijkstraEngine::RunWithTargets(
     if (d > bound) break;
     settled_stamp_[v] = generation_;
     settled_.push_back(v);
-    // Each vertex settles at most once per generation, so a marked target
-    // decrements exactly once.
-    if (targets_left > 0 && target_stamp_[v] == generation_) {
-      if (--targets_left == 0) return;
-    }
     for (const RoadArc& arc : graph_->Neighbors(v)) {
       const double nd = d + arc.weight;
       if (nd <= bound) Relax(arc.to, nd);
+    }
+    // Each vertex settles at most once per generation, so a marked target
+    // decrements exactly once. Its arcs are relaxed first, so the heap
+    // stays complete for a later resume.
+    if (targets_left > 0 && target_stamp_[v] == generation_) {
+      if (--targets_left == 0) return;
     }
   }
 }

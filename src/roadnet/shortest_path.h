@@ -38,9 +38,16 @@ class DijkstraEngine {
            double bound = kInfDistance);
 
   /// As Run, but additionally stops as soon as every vertex in `targets`
-  /// has been settled (exact labels for the targets).
+  /// has been settled (exact labels for the targets). The search stays
+  /// resumable: its heap and labels are kept for ResumeWithTargets.
   void RunWithTargets(const std::vector<std::pair<VertexId, double>>& seeds,
                       double bound, const std::vector<VertexId>& targets);
+
+  /// Continues the last RunWithTargets search (same seeds; `bound` must be
+  /// the bound it ran under) until every vertex in `targets` is settled.
+  /// Labels settled so far are final, so the result equals one run over
+  /// all targets.
+  void ResumeWithTargets(double bound, const std::vector<VertexId>& targets);
 
   /// Convenience: single-source from a vertex.
   void RunFromVertex(VertexId source, double bound = kInfDistance);
@@ -80,6 +87,9 @@ class DijkstraEngine {
 
   void Reset();
   void Relax(VertexId v, double dist);
+  // Marks the unsettled members of `targets` and settles vertices until
+  // all of them are settled or the labels exceed `bound`.
+  void SettleTargets(double bound, const std::vector<VertexId>& targets);
 
   const RoadNetwork* graph_;
   std::vector<double> dist_;

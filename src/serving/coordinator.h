@@ -69,8 +69,9 @@ struct ServingOptions {
   double default_deadline_seconds = 0.0;
   /// Scheduler workers (= pooled processors) per shard.
   int shard_num_workers = 1;
-  /// Entry budget of each shard-private distance cache; 0 disables.
-  size_t shard_distance_cache_entries = 1u << 18;
+  /// Entry budget of each shard-private distance cache; 0 (the default,
+  /// as GpssnBuildOptions::distance_cache_entries) disables it.
+  size_t shard_distance_cache_entries = 0;
 };
 
 /// An in-process N-shard serving cluster over one GpssnDatabase's indexes.

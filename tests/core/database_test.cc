@@ -3,8 +3,11 @@
 
 #include "core/database.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "ssn/dataset.h"
 
 namespace gpssn {
@@ -87,6 +90,54 @@ TEST(DatabaseTest, HandlesRealLikeDatasets) {
     if (answer->found) ++found;
   }
   EXPECT_GT(found, 0) << "real-like datasets should usually have answers";
+}
+
+// A batch executor built before AddPoi must answer like db.Query after it:
+// its workers' processors notice the grown POI count and rebuild their
+// built-in engines, so the new POI lands in R = B(center, r). Before that,
+// the executor's answers came back one or two POIs short on every query.
+TEST(DatabaseTest, ExecutorBuiltBeforeAddPoiSeesNewPois) {
+  SyntheticSsnOptions data;
+  data.num_users = 3000;
+  data.num_road_vertices = 2000;
+  data.num_pois = 1000;
+  data.seed = 1;
+  GpssnDatabase db(MakeSynthetic(data));
+  BatchExecutorOptions options;
+  options.num_workers = 2;
+  GpssnBatchExecutor executor(&db.poi_index(), &db.social_index(), options);
+
+  Rng rng(1);
+  int checked = 0;
+  for (int attempt = 0; attempt < 200 && checked < 10; ++attempt) {
+    GpssnQuery q;
+    q.issuer = static_cast<UserId>(rng.NextBounded(data.num_users));
+    q.tau = 3;
+    auto before = db.Query(q);
+    ASSERT_TRUE(before.ok());
+    if (!before->found) continue;
+    // A new POI at the answer center's position, with its keywords.
+    const Poi center = db.ssn().poi(before->center);
+    auto added = db.AddPoi(center.position, center.keywords);
+    ASSERT_TRUE(added.ok()) << added.status().ToString();
+
+    auto want = db.Query(q);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(want->found);
+    EXPECT_TRUE(std::binary_search(want->pois.begin(), want->pois.end(),
+                                   *added));
+    const GpssnQuery batch[] = {q};
+    const std::vector<BatchQueryResult> got = executor.ExecuteAll(batch);
+    ASSERT_EQ(got.size(), 1u);
+    ASSERT_TRUE(got[0].status.ok()) << got[0].status.ToString();
+    EXPECT_EQ(got[0].answer.found, want->found) << "query " << checked;
+    EXPECT_EQ(got[0].answer.users, want->users) << "query " << checked;
+    EXPECT_EQ(got[0].answer.center, want->center) << "query " << checked;
+    EXPECT_EQ(got[0].answer.pois, want->pois) << "query " << checked;
+    EXPECT_EQ(got[0].answer.max_dist, want->max_dist) << "query " << checked;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 10);
 }
 
 }  // namespace

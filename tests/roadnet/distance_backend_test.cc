@@ -101,6 +101,53 @@ TEST_P(BackendEquivalenceTest, SourceToTargetsMatchesDijkstra) {
   }
 }
 
+// Rows extended as targets are appended (SetTargets with a longer list,
+// then SourceToTargets from the first new slot) and the resumable search
+// must reproduce a single search over the final list bit for bit, in each
+// engine, even with other sources run in between.
+TEST_P(BackendEquivalenceTest, AppendedTargetsExtendRowsExactly) {
+  RoadGenOptions gen;
+  gen.num_vertices = 400;
+  gen.seed = GetParam() ^ 0x77;
+  const RoadNetwork g = GenerateRoadNetwork(gen);
+  Rng rng(GetParam() * 31 + 5);
+  const std::vector<Poi> pois = RandomPois(g, 36, &rng);
+  std::vector<EdgePosition> all;
+  for (const Poi& p : pois) all.push_back(p.position);
+  const size_t cuts[] = {5, 17, all.size()};
+
+  const auto dij_backend = MakeDijkstraBackend(&g, &pois);
+  const auto ch_backend = MakeChBackend(&g, &pois);
+  for (const DistanceBackend* backend : {dij_backend.get(), ch_backend.get()}) {
+    const auto fresh = backend->CreateEngine();
+    const auto grown = backend->CreateEngine();
+    fresh->SetTargets(all);
+    for (int trial = 0; trial < 10; ++trial) {
+      const EdgePosition src = RandomPosition(g, &rng);
+      const EdgePosition other = RandomPosition(g, &rng);
+      const double bound =
+          trial % 2 == 0 ? kInfDistance : rng.UniformDouble(1.0, 8.0);
+      std::vector<double> want(all.size()), row(all.size()),
+          resumed(all.size()), scratch(all.size());
+      fresh->SourceToTargets(src, bound, want.data());
+
+      size_t first = 0;
+      for (size_t cut : cuts) {
+        grown->SetTargets(std::span<const EdgePosition>(all.data(), cut));
+        ASSERT_EQ(grown->num_targets(), cut);
+        grown->SourceToTargets(src, bound, row.data(), first);
+        grown->ResumableSourceToTargets(src, bound, resumed.data(), first);
+        grown->SourceToTargets(other, bound, scratch.data());
+        first = cut;
+      }
+      for (size_t i = 0; i < all.size(); ++i) {
+        EXPECT_EQ(row[i], want[i]) << backend->name() << " slot " << i;
+        EXPECT_EQ(resumed[i], want[i]) << backend->name() << " slot " << i;
+      }
+    }
+  }
+}
+
 TEST_P(BackendEquivalenceTest, PositionToPositionMatchesDijkstra) {
   RoadGenOptions gen;
   gen.num_vertices = 300;

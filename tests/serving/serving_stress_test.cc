@@ -54,6 +54,7 @@ TEST(ServingStressTest, CancelAllMidBatchTerminatesEveryQuery) {
   options.num_shards = 4;
   options.max_inflight = 6;
   options.shard_num_workers = 2;
+  options.shard_distance_cache_entries = 1u << 16;  // Shared by 2 workers.
   auto cluster = ServingCluster::Create(db, options);
   ASSERT_TRUE(cluster.ok());
   const std::vector<GpssnQuery> workload = MakeWorkload(db, 99, 24);
@@ -125,6 +126,7 @@ TEST(ServingStressTest, StaleRepliesAfterErrorShortCircuitAreDropped) {
   options.num_shards = 4;
   options.max_inflight = 6;
   options.shard_num_workers = 2;
+  options.shard_distance_cache_entries = 1u << 16;  // Shared by 2 workers.
   auto cluster = ServingCluster::Create(db, options);
   ASSERT_TRUE(cluster.ok());
 

@@ -93,6 +93,8 @@ TEST_P(ShardedDifferentialTest, ShardedAnswersAreByteIdenticalToSingleNode) {
       ServingOptions options;
       options.num_shards = shards;
       options.query = single;
+      // Shard caches are off by default; keep them covered here.
+      options.shard_distance_cache_entries = 1u << 16;
       auto cluster = ServingCluster::Create(db, options);
       ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
 
